@@ -15,7 +15,6 @@ The same partitioning routine doubles as the residue refiner inside TP+
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ import numpy as np
 from repro.backend import vectorized_enabled
 from repro.baselines.hilbert.curve import bits_needed, hilbert_index, hilbert_indices_vectorized
 from repro.core import kernels
-from repro.core.eligibility import is_l_eligible
 from repro.dataset.generalized import GeneralizedTable, Partition
 from repro.dataset.table import Table
 from repro.errors import IneligibleTableError
@@ -63,16 +61,21 @@ def hilbert_order(table: Table, rows: Sequence[int] | None = None) -> list[int]:
     Ties (identical QI vectors) are broken by row index so the order is
     deterministic.
     """
+    return _hilbert_order_array(table, rows).tolist()
+
+
+def _hilbert_order_array(table: Table, rows: Sequence[int] | None) -> np.ndarray:
+    """:func:`hilbert_order` as an ``int64`` array."""
     bits = bits_needed([attribute.size for attribute in table.schema.qi])
     if vectorized_enabled() and bits * table.dimension <= 62:
         if rows is None:
             row_index = np.arange(len(table), dtype=np.int64)
             coords = table.qi_columns
         else:
-            row_index = np.asarray(list(rows), dtype=np.int64)
+            row_index = np.asarray(rows, dtype=np.int64)
             coords = table.qi_columns[row_index]
         if row_index.size == 0:
-            return []
+            return row_index
         # The Skilling transform is embarrassingly row-parallel and NumPy
         # releases the GIL, so large batches are encoded in chunks across
         # the kernel thread pool.
@@ -81,9 +84,8 @@ def hilbert_order(table: Table, rows: Sequence[int] | None = None) -> list[int]:
         )
         # lexsort sorts by the last key first: primary = Hilbert key,
         # ties broken by ascending row index, as in the reference path.
-        order = np.lexsort((row_index, keys))
-        return row_index[order].tolist()
-    return hilbert_order_reference(table, rows)
+        return row_index[np.lexsort((row_index, keys))]
+    return np.asarray(hilbert_order_reference(table, rows), dtype=np.int64)
 
 
 def hilbert_order_reference(table: Table, rows: Sequence[int] | None = None) -> list[int]:
@@ -96,7 +98,7 @@ def hilbert_order_reference(table: Table, rows: Sequence[int] | None = None) -> 
     return [row for _key, row in keyed]
 
 
-def partition_rows(table: Table, rows: Sequence[int], l: int) -> list[list[int]]:
+def partition_rows(table: Table, rows: Sequence[int], l: int) -> list[np.ndarray]:
     """Partition ``rows`` into l-eligible QI-groups of curve-adjacent tuples.
 
     The multiset of sensitive values of ``rows`` must itself be l-eligible;
@@ -109,52 +111,58 @@ def partition_rows(table: Table, rows: Sequence[int], l: int) -> list[list[int]]
     union becomes eligible again, which always terminates because the full
     input is eligible (Lemma 1 guarantees merging preserves eligibility of
     the already-closed part).
+
+    The scan runs over plain ints — the SA codes of the Hilbert-ordered rows
+    and a list counter indexed by code — and only records where groups
+    close.  The groups come back as ``int64`` array slices of the one
+    Hilbert order, in curve order.
     """
-    rows = list(rows)
-    if not rows:
+    index = np.asarray(rows, dtype=np.int64)
+    if index.size == 0:
         return []
-    sa = table.sa_values
-    overall = Counter(sa[row] for row in rows)
-    if not is_l_eligible(overall, l):
+    sa = table.sa_array
+    if int(np.bincount(sa[index]).max()) * l > index.size:
         raise IneligibleTableError(
             "the given rows are not l-eligible; they cannot be partitioned into "
             "l-eligible QI-groups"
         )
 
-    ordered = hilbert_order(table, rows)
-    groups: list[list[int]] = []
-    current: list[int] = []
-    current_counts: Counter[int] = Counter()
-    # Track the pillar height incrementally (it only grows within a running
-    # group), so the closure test is O(1) per tuple instead of a histogram
-    # scan: the group closes when |G| >= l and l * h(G) <= |G|.
-    current_height = 0
-    current_size = 0
-    for row in ordered:
-        current.append(row)
-        value = sa[row]
-        count = current_counts[value] + 1
-        current_counts[value] = count
-        current_size += 1
-        if count > current_height:
-            current_height = count
-        if current_size >= l and l * current_height <= current_size:
-            groups.append(current)
-            current = []
-            current_counts = Counter()
-            current_height = 0
-            current_size = 0
+    ordered = _hilbert_order_array(table, index)
+    codes = sa[ordered].tolist()
+    total = len(codes)
+    counts = [0] * table.schema.sensitive.size
+    # Group ends in scan order.  The pillar height only grows within a
+    # running group, so the closure test is O(1) per tuple: the group closes
+    # when l * h(G) <= |G|, which (h >= 1) also implies |G| >= l.
+    ends: list[int] = []
+    start = 0
+    height = 0
+    for position, value in enumerate(codes):
+        count = counts[value] + 1
+        counts[value] = count
+        if count > height:
+            height = count
+        if l * height <= position + 1 - start:
+            for closed in codes[start : position + 1]:
+                counts[closed] = 0
+            start = position + 1
+            ends.append(start)
+            height = 0
 
-    if current:
-        # Merge the ineligible tail backwards until eligibility is restored.
-        tail = current
-        tail_counts = current_counts
-        while groups and not is_l_eligible(tail_counts, l):
-            previous = groups.pop()
-            tail = previous + tail
-            tail_counts.update(sa[row] for row in previous)
-        groups.append(tail)
-    return groups
+    if start < total:
+        # Merge the ineligible tail backwards until eligibility is restored;
+        # ``counts`` holds the tail's histogram.
+        while ends and l * height > total - start:
+            ends.pop()
+            previous = ends[-1] if ends else 0
+            for value in codes[previous:start]:
+                count = counts[value] + 1
+                counts[value] = count
+                if count > height:
+                    height = count
+            start = previous
+        ends.append(total)
+    return [ordered[begin:end] for begin, end in zip([0, *ends[:-1]], ends)]
 
 
 def hilbert_refiner(table: Table, rows: Sequence[int], l: int) -> list[list[int]]:

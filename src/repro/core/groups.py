@@ -93,39 +93,6 @@ class GroupState:
         self._size = size
         self._buckets = None  # materialized on first update / pillar read
 
-    def bulk_append(self, runs: Iterable[tuple[int, list[int]]]) -> None:
-        """Merge pre-grouped ``(value, rows)`` runs into a possibly non-empty state.
-
-        Equivalent to calling :meth:`add` once per row, but with O(1) dict
-        work per run and no bucket churn: the inverted lists are invalidated
-        wholesale and re-materialized on the next update or pillar read.
-        The fused phase-one kernel uses this to pour a whole group's shaved
-        tuples into the residue set at once.  A value may appear both in the
-        state and in a run (rows are appended); height and size are kept
-        exact.
-        """
-        counts = self._counts
-        rows = self._rows
-        height = self._height
-        size = self._size
-        for value, value_rows in runs:
-            added = len(value_rows)
-            if added == 0:
-                continue
-            new = counts.get(value, 0) + added
-            counts[value] = new
-            existing = rows.get(value)
-            if existing is None:
-                rows[value] = list(value_rows)
-            else:
-                existing.extend(value_rows)
-            if new > height:
-                height = new
-            size += added
-        self._height = height
-        self._size = size
-        self._buckets = None  # materialized on first update / pillar read
-
     # ----------------------------------------------------------------- reads
 
     @property

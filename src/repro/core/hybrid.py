@@ -11,11 +11,11 @@ Hilbert baseline in star count.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import profiling
-from repro.core.eligibility import is_l_eligible
 from repro.core.groups import GroupState
 from repro.core.refiners import Refiner
 from repro.core.state import StateFactory
@@ -81,12 +81,18 @@ def anonymize(
     retained = state.retained_group_arrays()
     residue = sorted(state.residue_rows())
 
-    refined: list[list[int]] = []
+    refined: list = []
     if residue:
-        # Custom refiners may emit empty groups; drop them before the trusted
-        # partition (which, unlike Partition(), adopts groups unfiltered).
-        refined = [list(group) for group in refiner(table, residue, l) if len(group) > 0]
-        _validate_refinement(table, residue, refined, l)
+        with profiling.profile_stage("refine"):
+            # Custom refiners may emit empty groups; drop them before the
+            # trusted partition (which, unlike Partition(), adopts groups
+            # unfiltered).  Array groups (the Hilbert refiner's) are kept.
+            refined = [
+                group if isinstance(group, np.ndarray) else list(group)
+                for group in refiner(table, residue, l)
+                if len(group) > 0
+            ]
+            _validate_refinement(table, residue, refined, l)
 
     with profiling.profile_stage("publish"):
         # Valid by construction (retained groups + refined residue cover all
@@ -107,18 +113,38 @@ def anonymize(
 def _validate_refinement(
     table: Table,
     residue: list[int],
-    refined: list[list[int]],
+    refined: list,
     l: int,
 ) -> None:
-    """Ensure the refiner returned an l-eligible partition of the residue."""
-    covered = sorted(row for group in refined for row in group)
-    if covered != sorted(residue):
+    """Ensure the refiner returned an l-eligible partition of the residue.
+
+    One sort-and-compare against the (sorted, distinct) residue rejects a
+    duplicated, foreign or missing row; one histogram over ``(group, SA)``
+    pairs then gives every group's pillar height for the eligibility check.
+    """
+    members = (
+        np.concatenate([np.asarray(group, dtype=np.int64) for group in refined])
+        if refined
+        else np.zeros(0, dtype=np.int64)
+    )
+    if members.shape[0] != len(residue) or not np.array_equal(
+        np.sort(members), residue
+    ):
         raise AlgorithmInvariantError(
             "refiner did not return a partition of the residue rows"
         )
-    for group in refined:
-        counts = Counter(table.sa_value(row) for row in group)
-        if not is_l_eligible(counts, l):
-            raise AlgorithmInvariantError(
-                "refiner produced a QI-group that is not l-eligible"
-            )
+    sizes = np.fromiter(map(len, refined), dtype=np.int64, count=len(refined))
+    group_of = np.repeat(np.arange(len(refined), dtype=np.int64), sizes)
+    m = table.schema.sensitive.size
+    pairs, counts = np.unique(
+        group_of * m + table.sa_array[members], return_counts=True
+    )
+    # Pairs ascend by group and every group is non-empty, so each group's
+    # pairs form one block.
+    pair_groups = pairs // m
+    starts = np.flatnonzero(np.diff(pair_groups, prepend=-1))
+    heights = np.maximum.reduceat(counts, starts)
+    if np.any(heights * l > sizes):
+        raise AlgorithmInvariantError(
+            "refiner produced a QI-group that is not l-eligible"
+        )

@@ -31,7 +31,7 @@ __all__ = [
     "grouped_min_max",
     "grouped_min_max_reference",
     "parallel_chunk_count",
-    "phase_one_stop_height",
+    "phase_one_stop_heights",
     "phase_one_stop_height_reference",
     "pillar_overlap_counts",
     "pillar_overlap_counts_reference",
@@ -89,35 +89,64 @@ def group_sizes_heights(
     return sizes, heights
 
 
-def phase_one_stop_height(
-    counts: Sequence[int], size: int, height: int, l: int
-) -> tuple[int, int]:
-    """Closed form of a full phase-one shave of one ineligible group.
+def phase_one_stop_heights(
+    run_lengths: np.ndarray, group_run_bounds: np.ndarray, l: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of a full phase-one shave, for many groups at once.
 
     Phase one removes one tuple from a (minimum) pillar until the group is
     l-eligible.  Within one height level eligibility only gets harder (the
     size shrinks while the height stands still), so the loop can only stop
     right after the height drops — and when the height first reaches ``h``
-    the histogram is exactly ``min(c_v, h)`` with ``r(h) = sum(max(c_v - h,
-    0))`` tuples removed.  The stopping height is therefore the largest ``h``
-    with ``h * l <= size - r(h)``, found here by walking ``h`` downwards with
-    the counts-of-counts recurrence ``r(h - 1) = r(h) + #{c_v >= h}``.
+    the histogram is exactly ``min(c_v, h)``.  The stopping height is
+    therefore the largest ``h`` with ``g(h) = sum_v min(c_v, h) >= l * h``,
+    and ``r = size - g(stop)`` tuples are removed.
 
-    Returns ``(stop_height, removed)``.  The caller guarantees the group is
-    ineligible (``height * l > size``); ``h = 0`` always terminates the walk
-    because ``r(0) = size``.
+    ``g(h) / h`` never increases, so the feasible heights form a prefix
+    ``[0, stop]`` and ``stop`` has a closed form per group: with the counts
+    sorted descending, ``c_(1) >= c_(2) >= ...``, the heights in
+    ``(c_(j+1), c_(j)]`` have ``g(h) = j * h + T_j`` (``T_j`` the sum of the
+    counts below rank ``j``), which is feasible up to ``T_j // (l - j)`` when
+    ``j < l`` and everywhere when ``j >= l``.  The stop height is the largest
+    height any rank feasibly reaches.  One segmented sort and a handful of
+    array passes over the runs therefore replace the per-group walk, for
+    every group at once.
+
+    ``run_lengths`` holds the counts ``c_v`` of every group's runs and
+    ``group_run_bounds`` the ``s + 1`` boundaries of each group's runs;
+    every group must hold at least one run.  Returns ``(stop, removed)``,
+    two ``(s,)`` ``int64`` arrays; an l-eligible group gets its own height
+    and 0.  :func:`phase_one_stop_height_reference` is the oracle.
     """
-    frequency = Counter(counts)
-    removed = 0
-    at_or_above = 0
-    h = height
-    while h > 0:
-        at_or_above += frequency.get(h, 0)
-        removed += at_or_above
-        h -= 1
-        if h * l <= size - removed:
-            return h, removed
-    return 0, size
+    starts = group_run_bounds[:-1]
+    group_count = int(starts.shape[0])
+    if group_count == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    lengths = run_lengths.astype(np.int64, copy=False)
+    run_count = int(lengths.shape[0])
+    gids = np.repeat(
+        np.arange(group_count, dtype=np.int64), np.diff(group_run_bounds)
+    )
+    # Descending counts inside each group; the group blocks keep their places.
+    counts = lengths[np.lexsort((-lengths, gids))]
+    sizes = np.add.reduceat(lengths, starts)
+    # Per-group running sums of the sorted counts: sum of c_(1..j).
+    inclusive = np.cumsum(counts)
+    inclusive -= (inclusive[starts] - counts[starts])[gids]
+    rank = np.arange(1, run_count + 1, dtype=np.int64) - starts[gids]
+    below = np.zeros(run_count, dtype=np.int64)
+    below[:-1] = counts[1:]
+    below[group_run_bounds[1:] - 1] = 0
+    reach = counts.copy()
+    short = rank < l
+    reach[short] = np.minimum(
+        counts[short], (sizes[gids[short]] - inclusive[short]) // (l - rank[short])
+    )
+    reach[reach <= below] = 0
+    stop = np.maximum.reduceat(reach, starts)
+    removed = sizes - np.add.reduceat(np.minimum(lengths, stop[gids]), starts)
+    return stop, removed
 
 
 def phase_one_stop_height_reference(

@@ -39,28 +39,26 @@ class PhaseOneReport:
 def run_phase_one(state: AlgorithmState) -> PhaseOneReport:
     """Make every QI-group l-eligible by shaving its pillars.
 
-    One fused pass over the state's size/height arrays finds the ineligible
-    groups (:meth:`~repro.core.state.AlgorithmState.ineligible_group_ids`),
-    and each is shaved in bulk to its closed-form stopping height
-    (:meth:`~repro.core.state.AlgorithmState.shave_group_bulk`) — the paper's
-    observation that the removal multiset is tie-break-independent is what
-    licenses computing it directly.  Groups the bulk path cannot serve (the
-    reference backend, custom state factories, groups mutated before the
-    phase) fall back to the one-removal-at-a-time loop the bulk operation is
-    proven against.
+    On the lazy state every ineligible group is shaved in one array pass
+    over the run encoding
+    (:meth:`~repro.core.state.AlgorithmState.shave_ineligible_groups`): the
+    paper's observation that the removal multiset is tie-break-independent
+    gives each group's stopping height in closed form, and the residue is
+    one masked gather of the sort order.  Eager states (the reference
+    backend, the Section 5.5 :class:`~repro.core.groups.NaiveGroupState`
+    ablation, custom state factories) and states mutated before the phase
+    run the one-removal-at-a-time loop the array pass is proven against.
     """
-    l = state.l
-    moved = 0
-    for group_id in state.ineligible_group_ids():
-        bulk_moved = state.shave_group_bulk(group_id)
-        if bulk_moved is not None:
-            moved += bulk_moved
-            continue
-        group = state.group(group_id)
-        while not group.is_l_eligible(l):
-            pillar = min(group.pillars_view())
-            state.move_to_residue(group_id, pillar)
-            moved += 1
+    moved = state.shave_ineligible_groups()
+    if moved is None:
+        l = state.l
+        moved = 0
+        for group_id in state.ineligible_group_ids():
+            group = state.group(group_id)
+            while not group.is_l_eligible(l):
+                pillar = min(group.pillars_view())
+                state.move_to_residue(group_id, pillar)
+                moved += 1
     return PhaseOneReport(
         moved=moved,
         residue_height=state.residue.height,

@@ -9,16 +9,20 @@ and the vocabulary the phases use: thin/fat, conflicting, dead/alive.
 On the vectorized backend the per-group multiset states are **lazy**: the
 state keeps the table's run encoding (:meth:`Table.qi_sa_runs_arrays`) plus
 per-group size/height arrays computed by one fused
-:func:`~repro.core.kernels.group_sizes_heights` pass, and a
-:class:`~repro.core.groups.GroupState` is only materialized for the groups a
-phase actually mutates.  Every read the phases need — size, height,
-eligibility, pillars, liveness, per-value counts — is answered from the
-arrays for untouched groups, which is what makes million-row tables viable:
-the overwhelming majority of QI-groups are born l-eligible and never touched,
-so they never pay for Python dicts, and whole-state sweeps (phase one's
-ineligible scan, phase three's cover/kill passes) become NumPy kernels.
-Materialization is observationally lossless: the dicts built from the run
-arrays are exactly the ones the eager construction would have produced.
+:func:`~repro.core.kernels.group_sizes_heights` pass.  Phase one works on
+those arrays directly (:meth:`AlgorithmState.shave_ineligible_groups`): it
+shaves every ineligible group in one pass and compacts the state's own
+copies of the run arrays, so shaved groups stay lazy too.  A
+:class:`~repro.core.groups.GroupState` is only materialized for the groups
+phases two and three move tuples out of.  Every read the phases need —
+size, height, eligibility, pillars, liveness, per-value counts — is
+answered from the arrays for lazy groups, which is what makes million-row
+and high-cardinality tables viable: no group pays for Python dicts until a
+phase-two/three move touches it, and whole-state sweeps (phase one's shave,
+phase three's cover/kill passes) become NumPy kernels.  Materialization is
+observationally lossless: the dicts built from the run arrays are exactly
+the ones the eager construction (plus the one-removal phase-one loop) would
+have produced.
 """
 
 from __future__ import annotations
@@ -411,57 +415,113 @@ class AlgorithmState:
         self._residue.add(value, row)
         return row
 
-    def shave_group_bulk(self, group_id: int) -> int | None:
-        """Phase one's whole shave of one group as a single bulk operation.
+    def shave_ineligible_groups(self) -> int | None:
+        """Phase one's whole shave of every ineligible group, as array work.
 
         Equivalent to ``move_to_residue(group_id, min(pillars))`` repeated
-        until the group is l-eligible: the stopping height has a closed form
-        (:func:`~repro.core.kernels.phase_one_stop_height`), the surviving
-        histogram is exactly ``min(c_v, stop)``, and — because
+        until each group is l-eligible, group by group in ascending id:
+        the stopping heights have a closed form computed for all groups at
+        once (:func:`~repro.core.kernels.phase_one_stop_heights`), each run
+        keeps ``min(c_v, stop)`` tuples, and — because
         :meth:`GroupState.remove_one` pops row indices from the tail of the
-        ascending per-value lists — the removed rows are exactly the highest
-        ``c_v - stop`` indices of each over-tall value.  The group is
-        materialized directly in its post-shave form.  Returns the number of
-        tuples moved, or ``None`` when the bulk path does not apply (eager
-        state, or a group already materialized/mutated) and the caller must
-        run the reference loop.
+        ascending per-value lists — the removed rows are exactly the tail
+        ``c_v - stop`` positions of each over-tall run.  The residue is one
+        masked gather of ``order``, loaded with one
+        :meth:`GroupState.bulk_load`: per value, the rows come in group
+        order, then ascending; values enter in order of their first
+        ``(group, value)`` run.  Per group the moved rows are the loop's;
+        only the order inside the residue differs, and it is never observed
+        (the residue is sorted before publication).
+
+        The state then compacts its *own copies* of the run arrays: shaved
+        positions and emptied runs are dropped and sizes, heights and bounds
+        updated, so shaved groups stay lazy and phases two and three read
+        them through the array accessors.  The shared grouping context is
+        left untouched (the metrics read it).
+
+        Returns the number of tuples moved, or ``None`` when the array path
+        does not apply — an eager state, a non-empty residue, or an
+        ineligible group that was already materialized — and the caller
+        must run the one-removal loop.
         """
-        if not self._lazy or self._groups[group_id] is not None:
+        if not self._lazy or self._residue.size:
             return None
         l = self._l
-        size = int(self._sizes[group_id])
-        height = int(self._heights[group_id])
-        if height * l <= size:
+        ineligible = self._heights * l > self._sizes
+        if self._materialized:
+            materialized = sorted(self._materialized)
+            if any(not self._groups[gid].is_l_eligible(l) for gid in materialized):
+                return None
+            ineligible[materialized] = False
+        frontier = np.flatnonzero(ineligible)
+        if frontier.size == 0:
             return 0
-        first = int(self._group_run_bounds[group_id])
-        last = int(self._group_run_bounds[group_id + 1])
-        values = self._run_values[first:last].tolist()
-        bounds = self._run_bounds[first : last + 1].tolist()
-        lengths = [end - start for start, end in zip(bounds[:-1], bounds[1:])]
-        stop, removed = kernels.phase_one_stop_height(lengths, size, height, l)
-        order = self._order
-        counts: dict[int, int] = {}
-        rows: dict[int, list[int]] = {}
-        shaved: list[tuple[int, list[int]]] = []
-        for value, start, end in zip(values, bounds[:-1], bounds[1:]):
-            count = end - start
-            keep = count if count <= stop else stop
-            if keep:
-                counts[value] = keep
-                rows[value] = order[start : start + keep].tolist()
-            if keep != count:
-                shaved.append((value, order[start + keep : end].tolist()))
-        group = GroupState.__new__(GroupState)
-        group._counts = counts
-        group._rows = rows
-        group._buckets = None  # materialized on first update / pillar read
-        group._height = stop if counts else 0
-        group._size = size - removed
-        self._groups[group_id] = group
-        self._materialized.add(group_id)
-        self._pillar_cache.pop(group_id, None)
-        self._residue.bulk_append(shaved)
-        return removed
+        run_gids = self._ensure_run_gids()
+        lengths = self._run_lengths
+        frontier_bounds = np.concatenate(
+            ([0], np.cumsum(np.diff(self._group_run_bounds)[frontier]))
+        )
+        stops, removed = kernels.phase_one_stop_heights(
+            lengths[ineligible[run_gids]], frontier_bounds, l
+        )
+        stop = self._heights.copy()
+        stop[frontier] = stops
+        keep = np.minimum(lengths, stop[run_gids])
+
+        # Positions (in ``order``) of the shaved tails: run by run, so the
+        # gather comes out in group order, then value order, then rows.
+        shaved = np.flatnonzero(keep < lengths)
+        tail_lengths = lengths[shaved] - keep[shaved]
+        tail_starts = self._run_bounds[shaved] + keep[shaved]
+        tail_offsets = np.cumsum(tail_lengths) - tail_lengths
+        positions = np.repeat(tail_starts - tail_offsets, tail_lengths) + np.arange(
+            int(tail_lengths.sum()), dtype=np.int64
+        )
+        self._load_residue(
+            np.repeat(self._run_values[shaved], tail_lengths), self._order[positions]
+        )
+
+        nonempty = keep > 0
+        self._order = np.delete(self._order, positions)
+        self._run_values = self._run_values[nonempty]
+        self._run_lengths = keep[nonempty]
+        self._run_bounds = np.concatenate(([0], np.cumsum(self._run_lengths)))
+        self._run_gids = run_gids[nonempty]
+        self._group_run_bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(self._run_gids, minlength=len(self._groups))))
+        )
+        self._group_row_bounds = self._run_bounds[self._group_run_bounds]
+        self._sizes = self._sizes.copy()
+        self._sizes[frontier] -= removed
+        self._heights = stop
+        self._context = None
+        self._pillar_runs = None
+        self._pillar_cache.clear()
+        return int(positions.shape[0])
+
+    def _load_residue(self, values: np.ndarray, rows: np.ndarray) -> None:
+        """Pour ``(value, row)`` pairs, in move order, into the empty residue.
+
+        Per value the rows keep their move order, and values enter the
+        residue's dicts in order of first move — what one :meth:`add` per
+        pair would build, with O(1) dict work per distinct value.
+        """
+        by_value = np.argsort(values, kind="stable")
+        sorted_values = values[by_value]
+        starts = np.flatnonzero(np.diff(sorted_values, prepend=-1))
+        ends = np.append(starts[1:], sorted_values.shape[0])
+        grouped = rows[by_value]
+        runs = [
+            (value, grouped[start:end].tolist())
+            for value, start, end in zip(
+                sorted_values[starts].tolist(), starts.tolist(), ends.tolist()
+            )
+        ]
+        # A stable sort keeps each value's first move at its block start.
+        first_moves = by_value[starts]
+        self._residue.bulk_load(
+            [runs[index] for index in np.argsort(first_moves).tolist()]
+        )
 
     # ------------------------------------------------------------ vocabulary
 
@@ -504,22 +564,10 @@ class AlgorithmState:
 
     def retained_group_rows(self) -> list[list[int]]:
         """Row-index lists of the non-empty QI-groups (zero stars each)."""
-        if not self._lazy:
-            return [group.rows() for group in self._groups if group.size > 0]
-        order = self._order
-        row_bounds = self._group_row_bounds.tolist()
-        collected: list[list[int]] = []
-        for group_id, group in enumerate(self._groups):
-            if group is None:
-                # Untouched: its rows are one contiguous span of ``order``,
-                # already in the (SA run, ascending row) order the eager
-                # GroupState.rows() concatenation would produce.
-                collected.append(
-                    order[row_bounds[group_id] : row_bounds[group_id + 1]].tolist()
-                )
-            elif group.size > 0:
-                collected.append(group.rows())
-        return collected
+        return [
+            group if isinstance(group, list) else group.tolist()
+            for group in self.retained_group_arrays()
+        ]
 
     def retained_group_arrays(self) -> list:
         """Like :meth:`retained_group_rows`, but zero-copy where possible.
@@ -533,10 +581,20 @@ class AlgorithmState:
             return [group.rows() for group in self._groups if group.size > 0]
         order = self._order
         row_bounds = self._group_row_bounds
+        groups = self._groups
         collected: list = []
-        for group_id, group in enumerate(self._groups):
+        # Groups phase one emptied hold no span; a materialized group's span
+        # is never shorter than its live size, so none is skipped wrongly.
+        spanned = np.flatnonzero(row_bounds[1:] > row_bounds[:-1])
+        starts = row_bounds[spanned].tolist()
+        ends = row_bounds[spanned + 1].tolist()
+        for group_id, start, end in zip(spanned.tolist(), starts, ends):
+            group = groups[group_id]
             if group is None:
-                collected.append(order[row_bounds[group_id] : row_bounds[group_id + 1]])
+                # Still lazy: its rows are one contiguous span of ``order``,
+                # already in the (SA run, ascending row) order the eager
+                # GroupState.rows() concatenation would produce.
+                collected.append(order[start:end])
             elif group.size > 0:
                 collected.append(group.rows())
         return collected

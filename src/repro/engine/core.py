@@ -165,7 +165,8 @@ class RunReport:
     #: algorithms' frequency guarantee already implied the spec).
     enforcement_merges: int = 0
     #: Per-stage wall-clock seconds (``load`` / ``encode`` / ``state-init`` /
-    #: ``phase1``..``phase3`` / ``publish`` / ``merge`` / ``metrics``) when
+    #: ``phase1``..``phase3`` / ``refine`` / ``publish`` / ``merge`` /
+    #: ``metrics``) when
     #: ``REPRO_PROFILE`` is set; ``None`` otherwise.
     profile: dict[str, float] | None = None
     #: Trace id propagated from :attr:`RunPlan.request_id`.

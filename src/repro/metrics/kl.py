@@ -12,21 +12,33 @@ an exact cell), while sensitive values stay exact.  The utility loss is
 ``f*(p)`` is never zero at an observed point ``p`` because the generalization
 of the very row that produced ``p`` always covers ``p``.
 
-The computation is vectorized per sensitive value: the distinct observed
-points are read straight off the table's shared run encoding
-(:meth:`~repro.dataset.table.Table.grouping` — the runs of the one
+The computation is vectorized across all sensitive values at once.  The
+distinct observed points are read straight off the table's shared run
+encoding (:meth:`~repro.dataset.table.Table.grouping` — the runs of the one
 ``(QI, SA)`` sort *are* the distinct points, with the run lengths as
-counts), distinct generalized cell-vectors (deduplicated by tuple identity —
-rows of a QI-group share one tuple) become per-attribute membership matrices,
-and the mixture is evaluated with a couple of matrix products.  This keeps
-the metric fast enough to run inside the figure-7/8 benchmarks.
+counts).  The generalized side is a list of *combos* — ``(SA value, cells,
+weight)`` — that one star-mask join (:func:`_suppression_fstar`) evaluates
+for every point.  Two adapters produce the combos:
+
+* the **columnar** adapter reads a :meth:`GeneralizedTable.from_partition`
+  output's group form: the ``(group, SA, count)`` triples of
+  :meth:`~repro.dataset.generalized.GeneralizedTable.group_sa_counts` with
+  the cells ``where(rep_star, -1, rep_codes)`` of each group, so no per-row
+  cell tuple is ever built;
+* the **row-tuple** adapter deduplicates the row tuples by ``(SA, tuple
+  identity)`` and serves tables without the columnar form (merged shards,
+  explicit constructions).  When a cell is a sub-domain (``frozenset``, the
+  TDS / Mondrian outputs) it feeds the per-SA dense membership-matrix
+  product instead.
+
 :func:`kl_divergence_unfused` retains the historical standalone
-``np.unique`` construction (used by the scale-smoke regression guard), and
-:func:`kl_divergence_reference` retains a direct pure-Python evaluation of
-Equation 2 as the oracle for the property tests.  All three are
-bit-identical: re-sorting the runs stably by SA keeps QI vectors ascending
-within each SA bucket — exactly the ``np.unique`` lexicographic order — so
-the summation order never changes.
+``np.unique`` point construction (used by the scale-smoke regression
+guard), and :func:`kl_divergence_reference` retains a direct pure-Python
+evaluation of Equation 2 as the oracle for the property tests.  The
+vectorized paths are bit-identical to each other: re-sorting the runs
+stably by SA keeps QI vectors ascending within each SA bucket — exactly the
+``np.unique`` lexicographic order — and the join sums integer weights
+exactly, so neither adapter nor combo order changes a bit of the result.
 """
 
 from __future__ import annotations
@@ -101,42 +113,78 @@ def kl_divergence_unfused(table: Table, generalized: GeneralizedTable) -> float:
     )
 
 
-def _suppression_fstar(
-    combo_sa: np.ndarray,
-    unique_cells: list,
-    combo_cell_index: np.ndarray,
-    combo_weights: np.ndarray,
-    sa_column: np.ndarray,
-    qi_points: np.ndarray,
-    domain_sizes: list[int],
-    sa_size: int,
-) -> np.ndarray | None:
-    """Sparse mixture evaluation for suppression-only combos, all SA at once.
+def _columnar_combos(
+    generalized: GeneralizedTable,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(combo_sa, star_matrix, weights)`` read off the columnar group form.
 
-    When every combo cell is either an exact code or ``STAR`` (the only two
-    shapes the suppression pipeline publishes), a combo covers a point iff
-    the point matches its exact positions, and contributes a constant
-    ``prod(1/size)`` over its starred positions.  Grouping combos by star
-    mask turns the dense ``O(combos x points)`` membership product into a
-    hash join: per mask, one composite integer key over ``(SA, exact
-    positions)`` for combos and points, matched with a single
-    ``searchsorted`` across *all* distinct points — ``O((combos + points)
-    log)`` per mask, and the number of distinct masks is the number of
-    distinct per-group star sets (dozens, not thousands).
-
-    Deterministic by construction: masks are visited in ascending bit order,
-    per-key weight sums are exact small integers, and the fused and
-    standalone KL paths feed the same combo list — so the two stay
-    bit-identical to each other.
-
-    Returns the unnormalized mixture ``sum_c w_c P(point | combo c)`` per
-    distinct point, or ``None`` when a combo holds a sub-domain
-    (``frozenset``) cell or a composite key overflows 62 bits — the caller
-    falls back to the dense membership-matrix evaluation.
+    Every ``(group, SA value)`` pair of :meth:`GeneralizedTable.group_sa_counts`
+    is one combo weighted by its row count, and its cells are the group's
+    representative: ``rep_codes`` with ``-1`` where ``rep_star`` is set.  No
+    per-row cell tuple is built.  ``None`` when the table carries no
+    columnar form (explicit constructors, merged shards).
     """
-    dimension = len(domain_sizes)
-    matrix = np.empty((len(unique_cells), dimension), dtype=np.int64)
-    for row, cells in enumerate(unique_cells):
+    columnar = generalized.columnar_publish()
+    if columnar is None:
+        return None
+    rep_codes, rep_star, _group_of, _sa = columnar
+    gids, values, counts = generalized.group_sa_counts()
+    matrix = np.where(rep_star, -1, rep_codes)
+    return values, matrix[gids], counts.astype(float)
+
+
+def _row_tuple_combos(
+    generalized: GeneralizedTable,
+) -> tuple[list[int], list[tuple[object, ...]], list[int]]:
+    """``(combo_sa, combo_cells, weights)`` deduplicated from the row tuples.
+
+    Rows of a QI-group share one cells tuple, so deduplicating by ``(SA,
+    tuple identity)`` costs O(n) cheap dict lookups with no per-row
+    tuple-content hashing; the tuples are pinned alive by the generalized
+    table itself.  Content-equal tuples from different groups stay separate
+    combos, which leaves the mixture ``f*`` unchanged (it is linear in the
+    combo weights).  Combos come in order of first row.
+    """
+    generalized_sa = generalized.sa_values
+    weights_by_key: dict[tuple[int, int], int] = {}
+    cells_by_key: dict[tuple[int, int], tuple[object, ...]] = {}
+    for row, cells in enumerate(generalized.cell_rows):
+        key = (generalized_sa[row], id(cells))
+        if key in weights_by_key:
+            weights_by_key[key] += 1
+        else:
+            weights_by_key[key] = 1
+            cells_by_key[key] = cells
+    return (
+        [sa for sa, _marker in weights_by_key],
+        list(cells_by_key.values()),
+        list(weights_by_key.values()),
+    )
+
+
+def _star_combos(
+    combo_sa: list[int],
+    combo_cells: list[tuple[object, ...]],
+    weights: list[int],
+    dimension: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The row-tuple combos in the star-matrix form of :func:`_columnar_combos`.
+
+    Exact codes with ``-1`` for stars, converted once per distinct cells
+    tuple and gathered per combo; ``None`` when a cell is a sub-domain
+    (``frozenset``).
+    """
+    slots: dict[int, int] = {}
+    distinct: list[tuple[object, ...]] = []
+    index = np.empty(len(combo_cells), dtype=np.intp)
+    for combo, cells in enumerate(combo_cells):
+        slot = slots.get(id(cells))
+        if slot is None:
+            slot = slots[id(cells)] = len(distinct)
+            distinct.append(cells)
+        index[combo] = slot
+    matrix = np.empty((len(distinct), dimension), dtype=np.int64)
+    for row, cells in enumerate(distinct):
         for position, cell in enumerate(cells):
             if cell is STAR:
                 matrix[row, position] = -1
@@ -144,13 +192,50 @@ def _suppression_fstar(
                 return None
             else:
                 matrix[row, position] = cell
+    return (
+        np.asarray(combo_sa, dtype=np.int64),
+        matrix[index],
+        np.asarray(weights, dtype=float),
+    )
 
-    bits = np.int64(1) << np.arange(dimension, dtype=np.int64)
-    cell_masks = (matrix < 0).astype(np.int64) @ bits
-    combo_masks = cell_masks[combo_cell_index]
-    combo_matrix = matrix[combo_cell_index]
-    sa_points = sa_column.astype(np.int64, copy=False)
-    qi_points = qi_points.astype(np.int64, copy=False)
+
+def _suppression_fstar(
+    combo_sa: np.ndarray,
+    combo_matrix: np.ndarray,
+    combo_weights: np.ndarray,
+    sa_points: np.ndarray,
+    point_columns: list[np.ndarray],
+    domain_sizes: list[int],
+    sa_size: int,
+) -> np.ndarray | None:
+    """Sparse mixture evaluation for suppression-only combos, all SA at once.
+
+    Every combo cell is an exact code or a star (``-1`` in
+    ``combo_matrix``), the only two shapes the suppression pipeline
+    publishes.  A combo then covers a point iff the point matches its exact
+    positions, and contributes a constant ``prod(1/size)`` over its starred
+    positions.  Grouping combos by star mask turns the dense ``O(combos x
+    points)`` membership product into a hash join: per mask, one composite
+    integer key over ``(SA, exact positions)`` for combos and points,
+    matched with a single ``searchsorted`` across *all* distinct points —
+    ``O((combos + points) log)`` per mask, and the number of distinct masks
+    is the number of distinct per-group star sets (dozens, not thousands).
+
+    Deterministic by construction: masks are visited in ascending bit order
+    and per-key weight sums are exact small integers, so the result does
+    not depend on the order or the grouping of the combos — the columnar
+    and the row-tuple adapters give bit-identical values.
+
+    Returns the unnormalized mixture ``sum_c w_c P(point | combo c)`` per
+    distinct point, or ``None`` when a composite key overflows 62 bits —
+    the caller falls back to the dense membership-matrix evaluation.
+    """
+    dimension = len(domain_sizes)
+    combo_masks = np.zeros(combo_matrix.shape[0], dtype=np.int64)
+    for position in range(dimension):
+        combo_masks |= (combo_matrix[:, position] < 0).astype(np.int64) << position
+    combo_sa = combo_sa.astype(np.int64, copy=False)
+    sa_points = sa_points.astype(np.int64, copy=False)
 
     fstar = np.zeros(sa_points.shape[0], dtype=float)
     for mask in np.unique(combo_masks):
@@ -166,14 +251,13 @@ def _suppression_fstar(
                 radix *= int(domain_sizes[position])
         if radix > 1 << 62:
             return None
-        combo_keys = combo_sa[selected].astype(np.int64, copy=True)
+        combo_keys = combo_sa[selected]
         point_keys = sa_points.copy()
         for position in exact:
             size = np.int64(domain_sizes[position])
-            combo_keys *= size
-            combo_keys += combo_matrix[selected, position]
+            combo_keys = combo_keys * size + combo_matrix[selected, position]
             point_keys *= size
-            point_keys += qi_points[:, position]
+            point_keys += point_columns[position]
         unique_keys, inverse = np.unique(combo_keys, return_inverse=True)
         # bincount over integer weights is exact in float64 (weights < 2^53).
         weight_sums = np.bincount(inverse, weights=combo_weights[selected])
@@ -193,76 +277,54 @@ def _kl_from_points(
     point_counts: np.ndarray,
     run_starts: np.ndarray,
 ) -> float:
-    """Evaluate Equation 2 given the distinct observed points per SA bucket."""
+    """Evaluate Equation 2 given the distinct observed points per SA bucket.
+
+    Suppression-only generalizations take one global sparse star-mask join
+    over every SA bucket at once (:func:`_suppression_fstar`), fed by the
+    columnar adapter when the table carries its columnar group form and by
+    the row-tuple adapter otherwise.  Sub-domain (``frozenset``) cells fall
+    back to the per-bucket dense membership-matrix product.
+    """
     n = len(table)
     dimension = table.dimension
     domain_sizes = [attribute.size for attribute in table.schema.qi]
+    point_columns = [
+        np.ascontiguousarray(qi_points[:, position])
+        for position in range(dimension)
+    ]
 
-    # Distinct generalized rows, bucketed by SA.  Rows of a QI-group share one
-    # cells tuple, so deduplicating by (SA, tuple identity) costs O(n) cheap
-    # dict lookups with no per-row tuple-content hashing; the tuples are
-    # pinned alive by the generalized table itself.  Content-equal tuples
-    # from different groups stay separate combos, which leaves the mixture
-    # ``f*`` unchanged (it is linear in the combo weights).
-    generalized_sa = generalized.sa_values
-    weights_by_key: dict[tuple[int, int], int] = {}
-    cells_by_key: dict[tuple[int, int], tuple[object, ...]] = {}
-    for row, cells in enumerate(generalized.cell_rows):
-        key = (generalized_sa[row], id(cells))
-        if key in weights_by_key:
-            weights_by_key[key] += 1
-        else:
-            weights_by_key[key] = 1
-            cells_by_key[key] = cells
-
-    combo_sa_list: list[int] = []
-    combo_weight_list: list[int] = []
-    combo_cell_index_list: list[int] = []
-    unique_cells: list[tuple[object, ...]] = []
-    row_of_marker: dict[int, int] = {}
-    for (sa, marker), weight in weights_by_key.items():
-        combo_sa_list.append(sa)
-        combo_weight_list.append(weight)
-        cell_row = row_of_marker.get(marker)
-        if cell_row is None:
-            cell_row = row_of_marker[marker] = len(unique_cells)
-            unique_cells.append(cells_by_key[(sa, marker)])
-        combo_cell_index_list.append(cell_row)
-
-    # Suppression-only generalizations take one global sparse star-mask join
-    # over every SA bucket at once; any sub-domain (frozenset) cell falls
-    # back to the per-bucket dense membership-matrix product below.
-    fstar_all = _suppression_fstar(
-        np.asarray(combo_sa_list, dtype=np.int64),
-        unique_cells,
-        np.asarray(combo_cell_index_list, dtype=np.intp),
-        np.asarray(combo_weight_list, dtype=float),
-        sa_column,
-        qi_points,
-        domain_sizes,
-        table.schema.sensitive.size,
-    )
-    combos: dict[int, tuple[list[tuple[object, ...]], list[int]]] = {}
+    combos = _columnar_combos(generalized)
+    row_combos = None
+    if combos is None:
+        row_combos = _row_tuple_combos(generalized)
+        combos = _star_combos(*row_combos, dimension)
+    fstar_all = None
+    if combos is not None:
+        fstar_all = _suppression_fstar(
+            *combos,
+            sa_column,
+            point_columns,
+            domain_sizes,
+            table.schema.sensitive.size,
+        )
+    buckets: dict[int, tuple[list[tuple[object, ...]], list[int]]] = {}
     if fstar_all is None:
-        for (sa, marker), weight in weights_by_key.items():
-            bucket = combos.setdefault(sa, ([], []))
-            bucket[0].append(cells_by_key[(sa, marker)])
+        for sa, cells, weight in zip(*(row_combos or _row_tuple_combos(generalized))):
+            bucket = buckets.setdefault(sa, ([], []))
+            bucket[0].append(cells)
             bucket[1].append(weight)
 
     divergence = 0.0
     for start, end in zip(run_starts[:-1], run_starts[1:]):
-        sa = int(sa_column[start])
-        points = qi_points[start:end]
         counts = point_counts[start:end].astype(np.float64)
 
         if fstar_all is not None:
             fstar = fstar_all[start:end] / n
         else:
-            combo_cells, weight_list = combos.get(sa, ([], []))
-            combo_weights = np.asarray(weight_list, dtype=float)
+            combo_cells, weights = buckets.get(int(sa_column[start]), ([], []))
             if combo_cells:
                 # membership[combo, code] = P(code | combo cell on attribute a)
-                product = np.ones((len(combo_cells), points.shape[0]), dtype=float)
+                product = np.ones((len(combo_cells), end - start), dtype=float)
                 for position in range(dimension):
                     size = domain_sizes[position]
                     membership = np.zeros((len(combo_cells), size), dtype=float)
@@ -276,10 +338,10 @@ def _kl_from_points(
                                 membership[combo_index, code] = weight
                         else:
                             membership[combo_index, cell] = 1.0
-                    product *= membership[:, points[:, position]]
-                fstar = (combo_weights @ product) / n
+                    product *= membership[:, point_columns[position][start:end]]
+                fstar = (np.asarray(weights, dtype=float) @ product) / n
             else:  # pragma: no cover - every SA in T is present in T*
-                fstar = np.zeros(points.shape[0])
+                fstar = np.zeros(end - start)
 
         f = counts / n
         with np.errstate(divide="ignore"):

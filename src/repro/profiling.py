@@ -3,8 +3,8 @@
 The raw-speed work (ROADMAP item 3) needs the remaining pure-Python hot
 spots *measured*, not guessed.  Setting ``REPRO_PROFILE=1`` makes the
 pipeline record wall-clock seconds per stage (``load`` / ``encode`` /
-``phase1``..``phase3`` / ``publish`` / ``merge`` / ``metrics``) into a
-process-wide accumulator that the engine snapshots into
+``phase1``..``phase3`` / ``refine`` / ``publish`` / ``merge`` / ``metrics``)
+into a process-wide accumulator that the engine snapshots into
 :attr:`~repro.engine.core.RunReport.profile` and ``scripts/bench_scale.py``
 turns into the per-stage attribution of ``BENCH_scale.json``.  Setting
 ``REPRO_PROFILE=cprofile`` additionally wraps the anonymize stage in

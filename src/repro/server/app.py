@@ -1116,7 +1116,7 @@ class AnonymizationServer:
     #: end under their attempt (the profiling snapshot is an unordered dict).
     _STAGE_ORDER = (
         "load", "encode", "encode-chunks", "state-init", "phase1", "phase2",
-        "phase3", "publish", "publish-chunks", "merge", "metrics",
+        "phase3", "refine", "publish", "publish-chunks", "merge", "metrics",
     )
 
     def _trace_transition(

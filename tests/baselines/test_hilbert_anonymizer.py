@@ -52,9 +52,11 @@ class TestPartitionRows:
 
     def test_refiner_is_partition_rows(self, random_table):
         rows = list(range(len(random_table)))
-        assert hilbert.hilbert_refiner(random_table, rows, 2) == hilbert.partition_rows(
-            random_table, rows, 2
-        )
+        refined = hilbert.hilbert_refiner(random_table, rows, 2)
+        expected = hilbert.partition_rows(random_table, rows, 2)
+        assert [group.tolist() for group in refined] == [
+            group.tolist() for group in expected
+        ]
 
     @settings(deadline=None, max_examples=60)
     @given(

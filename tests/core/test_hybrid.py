@@ -78,6 +78,92 @@ class TestRefinerValidation:
             hybrid.anonymize(random_table, 2, refiner=broken)
 
 
+class TestRefinementCheckStrength:
+    """Every way a refiner can break the partition contract is rejected."""
+
+    @staticmethod
+    def _corrupting(mutate):
+        from repro.baselines.hilbert import hilbert_refiner
+
+        def refiner(table, rows, l):
+            groups = [list(group) for group in hilbert_refiner(table, rows, l)]
+            return mutate(table, rows, groups)
+
+        return refiner
+
+    def _assert_rejected(self, table, mutate, message):
+        with pytest.raises(AlgorithmInvariantError, match=message):
+            hybrid.anonymize(table, 2, refiner=self._corrupting(mutate))
+
+    def test_duplicated_row_appended(self, small_census):
+        def mutate(table, rows, groups):
+            groups[0].append(groups[1][0])
+            return groups
+
+        self._assert_rejected(small_census, mutate, "partition of the residue")
+
+    def test_duplicated_row_replacing_another(self, small_census):
+        # Same total size: only the sort-and-compare can see it.
+        def mutate(table, rows, groups):
+            groups[0][0] = groups[1][0]
+            return groups
+
+        self._assert_rejected(small_census, mutate, "partition of the residue")
+
+    def test_row_outside_the_residue(self, small_census):
+        def mutate(table, rows, groups):
+            outside = next(row for row in range(len(table)) if row not in set(rows))
+            groups[0][0] = outside
+            return groups
+
+        self._assert_rejected(small_census, mutate, "partition of the residue")
+
+    def test_missing_row(self, small_census):
+        def mutate(table, rows, groups):
+            groups[-1].pop()
+            return groups
+
+        self._assert_rejected(small_census, mutate, "partition of the residue")
+
+    def test_exact_cover_with_an_ineligible_group(self, small_census):
+        # Two residue rows sharing an SA value form their own group; every
+        # row is still covered exactly once.
+        def mutate(table, rows, groups):
+            by_value: dict[int, list[int]] = {}
+            for row in rows:
+                by_value.setdefault(table.sa_value(row), []).append(row)
+            pair = next(found[:2] for found in by_value.values() if len(found) >= 2)
+            rest = [row for row in rows if row not in pair]
+            return [pair, rest]
+
+        self._assert_rejected(small_census, mutate, "not l-eligible")
+
+    def test_empty_groups_are_dropped(self, small_census):
+        import numpy as np
+
+        from repro.baselines.hilbert import hilbert_refiner
+
+        def padded(table, rows, l):
+            groups = hilbert_refiner(table, rows, l)
+            return [[], *groups[:1], np.zeros(0, dtype=np.int64), *groups[1:], ()]
+
+        expected = hybrid.anonymize(small_census, 2)
+        result = hybrid.anonymize(small_census, 2, refiner=padded)
+        assert result.refined_group_count == expected.refined_group_count
+        assert result.partition.groups == expected.partition.groups
+        assert result.star_count == expected.star_count
+
+    def test_list_and_tuple_groups_are_accepted(self, small_census):
+        from repro.baselines.hilbert import hilbert_refiner
+
+        def as_tuples(table, rows, l):
+            return [tuple(group.tolist()) for group in hilbert_refiner(table, rows, l)]
+
+        expected = hybrid.anonymize(small_census, 2)
+        result = hybrid.anonymize(small_census, 2, refiner=as_tuples)
+        assert result.partition.groups == expected.partition.groups
+
+
 class TestHybridProperties:
     @settings(deadline=None, max_examples=50)
     @given(

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import kernels
@@ -33,23 +33,35 @@ def test_group_sizes_heights_match_python(groups_runs):
 
 
 @given(
-    st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=10),
+    st.lists(
+        st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=10),
+        min_size=1,
+        max_size=8,
+    ),
     st.integers(min_value=2, max_value=6),
 )
-def test_phase_one_stop_height_matches_simulation(counts, l):
-    size = sum(counts)
-    height = max(counts)
-    # Eligible groups never reach the bulk path (state checks eligibility
-    # first), so the closed form only has to agree on ineligible inputs.
-    assume(height * l > size)
-    expected = kernels.phase_one_stop_height_reference(counts, l)
-    assert kernels.phase_one_stop_height(counts, size, height, l) == expected
+def test_phase_one_stop_height_matches_simulation(groups_counts, l):
+    # Every group at once, eligible ones included (they keep their height
+    # and lose nothing), each checked against the one-removal simulation.
+    run_lengths = np.asarray(
+        [count for counts in groups_counts for count in counts], dtype=np.int64
+    )
+    bounds = np.cumsum([0] + [len(counts) for counts in groups_counts])
+    stop, removed = kernels.phase_one_stop_heights(run_lengths, bounds, l)
+    expected = [
+        kernels.phase_one_stop_height_reference(counts, l) for counts in groups_counts
+    ]
+    assert list(zip(stop.tolist(), removed.tolist())) == expected
 
 
 def test_phase_one_stop_height_degenerate_single_value():
     # One value, c tuples: every removal keeps height == size, so the shave
     # runs to extinction.
-    assert kernels.phase_one_stop_height([5], 5, 5, 2) == (0, 5)
+    stop, removed = kernels.phase_one_stop_heights(
+        np.asarray([5, 1, 1]), np.asarray([0, 1, 3]), 2
+    )
+    assert stop.tolist() == [0, 1]
+    assert removed.tolist() == [5, 0]
 
 
 # ------------------------------------------------------------ overlap counts

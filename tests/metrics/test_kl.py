@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import hybrid
 from repro.dataset.generalized import GeneralizedTable, Partition
-from repro.metrics.kl import kl_divergence
+from repro.metrics.kl import (
+    kl_divergence,
+    kl_divergence_reference,
+    kl_divergence_unfused,
+)
 from tests.conftest import make_random_table
+from tests.strategies import tables_with_partitions
 
 
 class TestExactCases:
@@ -95,3 +101,75 @@ class TestOrderingProperties:
         value = kl_divergence(table, generalized)
         assert value >= 0.0
         assert math.isfinite(value)
+
+
+class TestCombosAdapters:
+    """The columnar and row-tuple combo adapters feed one star-mask join."""
+
+    @staticmethod
+    def _row_tuple_copy(generalized: GeneralizedTable) -> GeneralizedTable:
+        # An explicit construction carries no columnar group form, so KL
+        # reads it through the row-tuple adapter.
+        copy = GeneralizedTable(
+            generalized.schema,
+            generalized.cell_rows,
+            generalized.sa_values,
+            generalized.group_ids,
+        )
+        assert copy.columnar_publish() is None
+        return copy
+
+    @settings(deadline=None, max_examples=80)
+    @given(data=tables_with_partitions(max_rows=12, max_dimension=3, max_sensitive=4))
+    def test_columnar_equals_row_tuples_on_random_partitions(self, data):
+        table, partition = data
+        generalized = GeneralizedTable.from_partition(table, partition)
+        assert generalized.columnar_publish() is not None
+        columnar = kl_divergence(table, generalized)
+        assert columnar == kl_divergence(table, self._row_tuple_copy(generalized))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        n=st.integers(min_value=2, max_value=60),
+        l=st.integers(min_value=2, max_value=3),
+        seed=st.integers(min_value=0, max_value=300),
+    )
+    def test_columnar_equals_row_tuples_on_tp_plus_outputs(self, n, l, seed):
+        table = make_random_table(n, d=3, qi_domain=3, m=4, seed=seed)
+        if not table.is_l_eligible(l):
+            return
+        generalized = hybrid.anonymize(table, l).generalized
+        columnar = kl_divergence(table, generalized)
+        assert columnar == kl_divergence(table, self._row_tuple_copy(generalized))
+        assert columnar == kl_divergence_unfused(table, generalized)
+
+    def test_kl_leaves_row_cells_unmaterialized(self, small_census):
+        generalized = hybrid.anonymize(small_census, 2).generalized
+        assert generalized._cells_rows is None
+        kl_divergence(small_census, generalized)
+        kl_divergence_unfused(small_census, generalized)
+        assert generalized._cells_rows is None
+
+    @pytest.mark.parametrize("algorithm", ["tds", "mondrian"])
+    def test_subdomain_outputs_take_the_dense_path(self, small_census, algorithm):
+        from repro.baselines import mondrian, tds
+        from repro.metrics.kl import _star_combos
+
+        projected = small_census.project(small_census.schema.qi_names[:3])
+        module = {"tds": tds, "mondrian": mondrian}[algorithm]
+        generalized = module.anonymize(projected, 2).generalized
+        assert generalized.columnar_publish() is None
+        cells = generalized.cell_rows
+        assert any(isinstance(cell, frozenset) for row in cells for cell in row)
+        assert (
+            _star_combos(
+                generalized.sa_values,
+                cells,
+                [1] * len(cells),
+                projected.dimension,
+            )
+            is None
+        )
+        assert kl_divergence(projected, generalized) == pytest.approx(
+            kl_divergence_reference(projected, generalized), rel=1e-9, abs=1e-12
+        )

@@ -167,3 +167,32 @@ class TestEngineSnapshot:
         for stage in ("load", "encode", "state-init", "phase1", "publish", "metrics"):
             assert stage in report.profile, stage
         assert report.profile["encode"] > 0.0
+
+    def _profile(self, table, algorithm):
+        profiling.set_enabled(True)
+        profiling.reset()
+        try:
+            report = Engine(cache=ResultCache()).run(
+                RunPlan(
+                    source=TableSource(table), algorithm=algorithm, l=2, use_cache=False
+                )
+            )
+        finally:
+            profiling.set_enabled(False)
+        return report
+
+    def test_tp_plus_refinement_has_its_own_stage(self, small_census):
+        from repro.core import hybrid
+
+        # The refiner only runs on a non-empty residue.
+        assert hybrid.anonymize(small_census, 2).residue_rows
+        report = self._profile(small_census, "TP+")
+        assert "refine" in report.profile
+        tp = self._profile(small_census, "TP")
+        assert "refine" not in tp.profile
+
+    def test_server_lays_refine_after_phase_three(self):
+        from repro.server.app import AnonymizationServer
+
+        order = AnonymizationServer._STAGE_ORDER
+        assert order.index("refine") == order.index("phase3") + 1
