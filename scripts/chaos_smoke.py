@@ -293,6 +293,12 @@ def wait_for_condition(probe: Client, predicate, deadline_seconds: float, what: 
         time.sleep(0.25)
 
 
+def in_flight(health: dict) -> int:
+    """Jobs this server accepted that have not reached a terminal state."""
+    jobs = health["jobs"]
+    return jobs["submitted"] - jobs["done"] - jobs["failed"] - jobs["cancelled"]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--clients", type=int, default=4)
@@ -332,13 +338,18 @@ def main() -> None:
             worker.start()
 
         # Let recovery become observable before pulling the plug: at least
-        # one worker kill has been healed and a batch of jobs is done.
+        # one worker kill has been healed and a batch of jobs is done.  Pull
+        # it while a job is in flight, so the restart has work to replay:
+        # store hits finish in milliseconds, and a kill between jobs would
+        # leave the replay path untested.
         kill_floor = max(10, arguments.jobs // 4)
         health = wait_for_condition(
             probe,
-            lambda h: h["pool"]["pool_restarts"] >= 1 and h["jobs"]["done"] >= kill_floor,
+            lambda h: h["pool"]["pool_restarts"] >= 1
+            and h["jobs"]["done"] >= kill_floor
+            and in_flight(h) >= 1,
             deadline_seconds=180.0,
-            what=f"{kill_floor} done jobs and a healed worker kill",
+            what=f"{kill_floor} done jobs, a healed worker kill and a job in flight",
         )
         counters_before_kill = dict(health["pool"])
         print(

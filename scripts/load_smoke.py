@@ -11,7 +11,9 @@ running server), then:
 2. **store reuse** — the workload set is much smaller than the job count, so
    repeated identical submissions must be served from the persistent run
    store (``store_hit``) rather than recomputed; the smoke asserts at least
-   one cross-request store hit (and reports the observed rate);
+   one cross-request store hit (and reports the observed rate), and every
+   store hit's result CSV must be byte-identical to the CSV the first
+   computed job of the same workload served;
 3. **backpressure** — a burst of slow jobs from a non-retrying client must
    produce at least one ``429`` with a ``Retry-After`` header once the
    bounded queue fills, and still-queued burst jobs are then cancelled
@@ -146,11 +148,14 @@ class ClientWorker(threading.Thread):
         self.workloads = workloads
         self.completed = 0
         self.store_hits = 0
+        #: ``(workload index, store_hit, served result CSV)`` per finished job.
+        self.served: list[tuple[int, bool, bytes]] = []
         self.errors: list[str] = []
 
     def run(self) -> None:
         for round_number in range(self.jobs):
-            workload = self.workloads[(self.index + round_number) % len(self.workloads)]
+            workload_index = (self.index + round_number) % len(self.workloads)
+            workload = self.workloads[workload_index]
             try:
                 record, result = self.client.submit_and_wait(timeout=120.0, **workload)
             except Exception as error:  # noqa: BLE001 - collected, reported below
@@ -172,9 +177,38 @@ class ClientWorker(threading.Thread):
                 if want != got:
                     self.errors.append(f"{record['id']}: sensitive column was altered")
                     return
+            try:
+                served_csv = self.client.result_csv(record["id"]).encode("utf-8")
+            except Exception as error:  # noqa: BLE001 - collected, reported below
+                self.errors.append(f"{record['id']}: CSV fetch failed: {error}")
+                return
+            self.served.append((workload_index, bool(result["store_hit"]), served_csv))
             self.completed += 1
             if result["store_hit"]:
                 self.store_hits += 1
+
+
+def store_hit_csv_mismatches(workers: list[ClientWorker]) -> tuple[int, list[int]]:
+    """Compare every store hit's CSV with its workload's first computed CSV.
+
+    Returns the number of hits compared and the workload indices whose hit
+    served different bytes.  A hit whose workload never ran computed in this
+    run (a ``--base-url`` server with a warm store) has nothing to compare.
+    """
+    computed: dict[int, bytes] = {}
+    for worker in workers:
+        for workload_index, store_hit, served_csv in worker.served:
+            if not store_hit:
+                computed.setdefault(workload_index, served_csv)
+    compared = 0
+    mismatched: list[int] = []
+    for worker in workers:
+        for workload_index, store_hit, served_csv in worker.served:
+            if store_hit and workload_index in computed:
+                compared += 1
+                if served_csv != computed[workload_index]:
+                    mismatched.append(workload_index)
+    return compared, sorted(set(mismatched))
 
 
 def rows_satisfy_spec(rows: list[list[str]], qi_width: int, spec) -> bool:
@@ -529,6 +563,13 @@ def main() -> None:
             fail(f"acceptance requires >= 200 completed jobs, got {completed}")
         if store_hits < 1:
             fail("no submission was ever served from the persistent run store")
+        compared, mismatched = store_hit_csv_mismatches(workers)
+        if mismatched:
+            fail(
+                "store hits served CSV that differs from the computed run "
+                f"for workloads {mismatched}"
+            )
+        print(f"store reuse: {compared} store-hit CSVs byte-identical to their computed runs")
         print(
             f"throughput: {completed} jobs across {arguments.clients} clients "
             f"in {elapsed:.1f}s ({completed / elapsed:.1f} jobs/s), "

@@ -328,6 +328,27 @@ class GeneralizedTable:
             table._group_ids = group_ids
         return table
 
+    @classmethod
+    def _from_columnar(
+        cls,
+        schema: Schema,
+        rep_codes: np.ndarray,
+        rep_star: np.ndarray,
+        group_of: np.ndarray,
+        sa_codes: np.ndarray,
+    ) -> "GeneralizedTable":
+        """Adopt the columnar group form of a suppression output.
+
+        The arguments are exactly :meth:`columnar_publish`'s tuple: per-group
+        ``(g, d)`` surviving codes and star flags (codes under a star are
+        never read), the ``(n,)`` row->group map and the ``(n,)`` SA codes.
+        Row tuples materialize lazily; the arrays are adopted, not copied.
+        """
+        table = cls._from_trusted(schema, None, sa_codes, group_of)
+        table._group_reps = rep_codes
+        table._group_star = rep_star
+        return table
+
     # ------------------------------------------------------------ constructors
 
     @classmethod
@@ -375,13 +396,11 @@ class GeneralizedTable:
         # table's (shared, read-only) code array, the group ids stay an
         # array, and the per-row cells stay unmaterialized; the list/tuple
         # views build lazily if something asks.
-        result = cls._from_trusted(table.schema, None, table.sa_array, group_of)
+        result = cls._from_columnar(table.schema, minima, star, group_of, table.sa_array)
         stars_per_group = star.sum(axis=1)
         result._star_count = int((stars_per_group * sizes).sum())
         result._suppressed_count = int(sizes[stars_per_group > 0].sum())
         result._group_sizes_arr = sizes
-        result._group_star = star
-        result._group_reps = minima
         return result
 
     @classmethod
@@ -531,10 +550,11 @@ class GeneralizedTable:
         ``(g, d)`` surviving QI codes and star flags, the ``(n,)`` row→group
         map, and the ``(n,)`` SA codes.  Together these determine every
         published cell without materializing row tuples — the zero-copy
-        result artifact serializes exactly these arrays.  Only tables built
-        by :meth:`from_partition` carry the form (merged shards, store
-        reconstructions, and explicit constructors return ``None``).  All
-        arrays are shared and must be treated as read-only.
+        result artifact serializes exactly these arrays.  Tables built by
+        :meth:`from_partition` carry the form, and so do run-store hits of
+        suppression outputs; merged shards, sub-domain (frozenset) tables and
+        explicit constructors return ``None``.  All arrays are shared and
+        must be treated as read-only.
         """
         if self._group_reps is None or self._group_star is None:
             return None

@@ -492,7 +492,7 @@ class ResultArtifact:
     @classmethod
     def from_generalized(cls, generalized) -> "ResultArtifact | None":
         """Build an artifact from a published table, or ``None`` when the
-        table has no columnar group form (merged shards, store hits,
+        table has no columnar group form (merged shards, sub-domain cells,
         explicit constructors) — callers fall back to the row path."""
         columnar = generalized.columnar_publish()
         if columnar is None:

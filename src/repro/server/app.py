@@ -56,8 +56,10 @@ backpressure mechanisms protect the service under load, both answered with
 
 ``503`` is reserved for the draining window during shutdown.  Identical
 repeated submissions are served from the persistent run store by the worker
-(the result carries ``store_hit: true``), so a hot job costs one JSONL read
-instead of a recomputation.
+(the result carries ``store_hit: true``): each worker keeps the store open
+and reads only the records appended since its last job, so a hot job costs
+a lookup in memory instead of a recomputation, and its result is published
+through the same zero-copy artifact as a computed one.
 """
 
 from __future__ import annotations

@@ -11,9 +11,12 @@ without limit, and the HTTP layer turns that into ``429 + Retry-After``.
 
 :func:`execute_job` (the executor entry point) builds a fresh
 :class:`~repro.engine.core.Engine` whose cache reads through the workspace's
-persistent :class:`~repro.service.store.RunStore` — each worker re-opens the
-JSONL store per job, so a repeated identical submission is a **store hit**
-even though every job runs in a different process.
+persistent :class:`~repro.service.store.RunStore`.  Each worker (process,
+and thread within it) keeps one long-lived store per runs file and
+refreshes it before every job, reading only the records other workers
+appended since — so a repeated identical submission is a **store hit** even
+though every job may run in a different process, and the per-job store cost
+grows with the new records, not with the store.
 
 Lifecycle transitions (``running``/``retrying``/``done``/``failed``/
 ``cancelled``) are reported through a single callback invoked on the
@@ -48,6 +51,7 @@ import inspect
 import math
 import os
 import re
+import threading
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
@@ -168,10 +172,7 @@ def execute_job(
         request_id=str(spec.get("request_id", "")),
     )
     if use_store:
-        from repro.service.workspace import Workspace
-
-        store = Workspace(workspace_root).run_store()
-        engine = Engine(cache=ResultCache(store=store))
+        engine = Engine(cache=ResultCache(store=_worker_run_store(workspace_root)))
     else:
         engine = Engine(cache=ResultCache())
     # Force stage profiling for the run so per-stage timings ride back to the
@@ -247,6 +248,31 @@ def execute_job(
             rows.append([str(render_cell_value(record[name])) for name in header])
         payload["rows"] = rows
     return payload
+
+
+_worker_state = threading.local()
+
+
+def _worker_run_store(workspace_root: str | None):
+    """This worker's long-lived run store for the workspace, refreshed.
+
+    Cached per process and per thread (a :class:`RunStore` is not
+    thread-safe, and ``executor_kind="thread"`` runs jobs on several
+    threads), keyed by the runs path.  The pid check drops entries a forked
+    worker inherited from its parent.
+    """
+    from repro.service.workspace import Workspace
+
+    if getattr(_worker_state, "pid", None) != os.getpid():
+        _worker_state.pid = os.getpid()
+        _worker_state.stores = {}
+    workspace = Workspace(workspace_root)
+    store = _worker_state.stores.get(workspace.runs_path)
+    if store is None:
+        store = _worker_state.stores[workspace.runs_path] = workspace.run_store()
+    else:
+        store.refresh()
+    return store
 
 
 _ARTIFACT_KEY_PATTERN = re.compile(r"[\w.-]{1,128}")

@@ -31,18 +31,33 @@ it identical to the one the run was computed on.  That keeps records small
 and sidesteps schema round-trip fidelity entirely.
 
 The file format is append-only JSONL: one record per line, last write wins,
-safe to append from concurrent processes (a torn trailing line is treated as
-corrupt and skipped).  Corrupt or stale lines are counted, survive nothing,
-and are dropped by the next compaction; eviction keeps the newest
-``max_entries`` records and compacts the file in place.
+safe to append from concurrent processes.  Corrupt or stale lines are
+counted, survive nothing, and are dropped by the next compaction; eviction
+keeps the newest ``max_entries`` records and compacts the file in place
+(an atomic replace, so the compacted file is a new inode).
+
+**Tail reads.** A long-lived instance (one per server pool worker) stays
+current through :meth:`RunStore.refresh`, which reads only the bytes
+appended since its last read — O(new records), not O(store).  Opening a
+store is the same read from offset 0.  The instance remembers the file's
+``(st_dev, st_ino)`` and the offset it consumed: a replaced file (another
+instance's compaction) or a shrunk one is reloaded in full, and a missing
+file empties the store (a replacement that happens to reuse the inode
+number is caught by re-checking the last line consumed).  Only
+newline-terminated lines are consumed: an unterminated trailing line is
+another writer's append still in progress, so it is left for the next
+refresh rather than counted as corrupt.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.dataset.generalized import STAR, GeneralizedTable
 from repro.engine.cache import CachedRun, CacheKey
@@ -76,29 +91,85 @@ def _decode_cell(encoded) -> object:
     return int(encoded)
 
 
+def _last_line(data: bytes) -> bytes:
+    """The last line of newline-terminated ``data`` (empty for no data)."""
+    return data[data.rfind(b"\n", 0, len(data) - 1) + 1 :]
+
+
+def _parse_lines(data: bytes):
+    """Yield :meth:`RunStore._parse` of each non-blank line of ``data``."""
+    for line in data.decode("utf-8", errors="replace").split("\n"):
+        line = line.strip()
+        if line:
+            yield RunStore._parse(line)
+
+
 def _encode_run(key: CacheKey, run: CachedRun) -> dict:
     generalized = run.output.generalized
-    group_ids = generalized.group_ids
-    dense: dict[int, int] = {}
-    group_cells: list[list[object]] = []
-    renumbered: list[int] = []
-    for row, group_id in enumerate(group_ids):
-        index = dense.get(group_id)
-        if index is None:
-            index = len(group_cells)
-            dense[group_id] = index
-            group_cells.append([_encode_cell(cell) for cell in generalized.row_cells(row)])
-        renumbered.append(index)
+    # Renumber the groups densely in order of their first row.
+    group_ids, first_rows, inverse = np.unique(
+        generalized.group_ids_array(), return_index=True, return_inverse=True
+    )
+    appearance = np.argsort(first_rows)
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(appearance.size)
+    columnar = generalized.columnar_publish()
+    if columnar is not None:
+        ordered = group_ids[appearance]
+        group_cells = [
+            ["*" if starred else code for code, starred in zip(codes, flags)]
+            for codes, flags in zip(
+                columnar[0][ordered].tolist(), columnar[1][ordered].tolist()
+            )
+        ]
+    else:
+        group_cells = [
+            [_encode_cell(cell) for cell in generalized.row_cells(row)]
+            for row in first_rows[appearance].tolist()
+        ]
     return {
         "key": list(key),
         "n": len(generalized),
         "group_cells": group_cells,
-        "group_ids": renumbered,
+        "group_ids": rank[inverse].tolist(),
         "anonymize_seconds": run.anonymize_seconds,
         "shard_sizes": list(run.shard_sizes),
         "phase_reached": run.output.phase_reached,
         "enforcement_merges": run.enforcement_merges,
     }
+
+
+def _decode_generalized(record: dict, table: "Table") -> GeneralizedTable:
+    """Rehydrate a record's generalization against its source table."""
+    group_cells = record["group_cells"]
+    dimension = table.dimension
+    if any(len(row) != dimension for row in group_cells):
+        raise ValueError("cell row width does not match the table dimension")
+    if all(type(cell) is int or cell == "*" for row in group_cells for cell in row):
+        # A suppression output: rebuild its columnar group form, so a hit
+        # takes the same zero-copy artifact path as a computed run.
+        shape = (len(group_cells), dimension)
+        rep_star = np.array(
+            [[cell == "*" for cell in row] for row in group_cells], dtype=bool
+        ).reshape(shape)
+        rep_codes = np.array(
+            [[0 if cell == "*" else cell for cell in row] for row in group_cells],
+            dtype=np.int64,
+        ).reshape(shape)
+        domain_sizes = np.array([attribute.size for attribute in table.schema.qi])
+        if np.any(~rep_star & ((rep_codes < 0) | (rep_codes >= domain_sizes))):
+            raise ValueError("cell code outside its attribute domain")
+        group_of = np.asarray(record["group_ids"])
+        if group_of.size and (group_of.dtype.kind != "i" or int(group_of.min()) < 0):
+            raise ValueError("group ids must be non-negative integers")
+        return GeneralizedTable._from_columnar(
+            table.schema, rep_codes, rep_star, group_of.astype(np.intp), table.sa_array
+        )
+    decoded_groups = [tuple(_decode_cell(cell) for cell in row) for row in group_cells]
+    cells = [decoded_groups[group_id] for group_id in record["group_ids"]]
+    return GeneralizedTable._from_trusted(
+        table.schema, cells, table.sa_values, list(record["group_ids"])
+    )
 
 
 class RunStore:
@@ -114,7 +185,13 @@ class RunStore:
         self.hits = 0
         self.misses = 0
         self.recovered = 0
-        self._load()
+        #: ``(st_dev, st_ino)`` of the file last read, the byte offset of
+        #: the first line not yet consumed, and the last line consumed
+        #: (which a replacement reusing the inode number will not repeat).
+        self._identity: tuple[int, int] | None = None
+        self._offset = 0
+        self._marker = b""
+        self.refresh()
 
     @property
     def path(self) -> Path:
@@ -122,24 +199,55 @@ class RunStore:
 
     # --------------------------------------------------------------- file I/O
 
-    def _load(self) -> None:
-        if not self._path.exists():
+    def refresh(self) -> None:
+        """Bring the records up to date with the file, reading only its tail.
+
+        See *Tail reads* in the module docstring.  Corrupt lines among the
+        new ones are counted in :attr:`recovered` and, like an eviction,
+        trigger a compaction.
+        """
+        try:
+            handle = open(self._path, "rb")
+        except FileNotFoundError:
+            self._forget()
             return
-        with open(self._path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = self._parse(line)
-                if record is None:
-                    self.recovered += 1
-                    continue
-                key = tuple(record["key"])
-                self._records[key] = record
-                self._records.move_to_end(key)
+        with handle:
+            status = os.fstat(handle.fileno())
+            identity = (status.st_dev, status.st_ino)
+            seen = identity == self._identity and status.st_size >= self._offset
+            handle.seek(self._offset - len(self._marker) if seen else 0)
+            data = handle.read()
+            if seen and not data.startswith(self._marker):
+                seen = False
+                handle.seek(0)
+                data = handle.read()
+        if not seen:
+            self._forget()
+            self._identity = identity
+        tail = data[len(self._marker):]
+        complete = tail.rfind(b"\n") + 1
+        if complete:
+            self._offset += complete
+            self._marker = _last_line(tail[:complete])
+        corrupt = 0
+        for record in _parse_lines(tail[:complete]):
+            if record is None:
+                corrupt += 1
+                continue
+            key = tuple(record["key"])
+            self._records[key] = record
+            self._records.move_to_end(key)
+        self.recovered += corrupt
         evicted = self._evict()
-        if evicted or self.recovered:
+        if evicted or corrupt:
             self._compact()
+
+    def _forget(self) -> None:
+        """Drop the records and the read position (the next read starts over)."""
+        self._records.clear()
+        self._identity = None
+        self._offset = 0
+        self._marker = b""
 
     @staticmethod
     def _parse(line: str) -> dict | None:
@@ -192,12 +300,8 @@ class RunStore:
         """
         merged: OrderedDict[CacheKey, dict] = OrderedDict()
         if self._path.exists():
-            with open(self._path) as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = self._parse(line)
+            with open(self._path, "rb") as handle:
+                for record in _parse_lines(handle.read()):
                     if record is None:
                         continue
                     key = tuple(record["key"])
@@ -209,11 +313,18 @@ class RunStore:
         while len(merged) > self._max_entries:
             merged.popitem(last=False)
         self._records = merged
+        content = "".join(
+            json.dumps(record, separators=(",", ":")) + "\n"
+            for record in self._records.values()
+        ).encode()
         temporary = self._path.with_suffix(".jsonl.tmp")
-        with open(temporary, "w") as handle:
-            for record in self._records.values():
-                handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+        with open(temporary, "wb") as handle:
+            handle.write(content)
+            status = os.fstat(handle.fileno())
         temporary.replace(self._path)
+        self._identity = (status.st_dev, status.st_ino)
+        self._offset = len(content)
+        self._marker = _last_line(content)
 
     # ------------------------------------------------------------------- API
 
@@ -226,24 +337,16 @@ class RunStore:
         try:
             if record["n"] != len(table):
                 raise ValueError("row count mismatch (stale or colliding record)")
-            decoded_groups = [
-                tuple(_decode_cell(cell) for cell in row) for row in record["group_cells"]
-            ]
-            if any(len(row) != table.dimension for row in decoded_groups):
-                raise ValueError("cell row width does not match the table dimension")
-            cells = [decoded_groups[group_id] for group_id in record["group_ids"]]
             run = CachedRun(
                 output=AlgorithmOutput(
-                    GeneralizedTable._from_trusted(
-                        table.schema, cells, table.sa_values, list(record["group_ids"])
-                    ),
+                    _decode_generalized(record, table),
                     phase_reached=record["phase_reached"],
                 ),
                 anonymize_seconds=record["anonymize_seconds"],
                 shard_sizes=tuple(record["shard_sizes"]),
                 enforcement_merges=record.get("enforcement_merges", 0),
             )
-        except (KeyError, ValueError, TypeError, IndexError):
+        except (KeyError, ValueError, TypeError, IndexError, OverflowError):
             # A record that passed the line-level checks but cannot be
             # decoded is corrupt: drop it rather than crash the lookup.
             del self._records[key]
@@ -269,7 +372,7 @@ class RunStore:
                 handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
     def clear(self) -> None:
-        self._records.clear()
+        self._forget()
         self.hits = 0
         self.misses = 0
         self.recovered = 0

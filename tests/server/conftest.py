@@ -4,8 +4,9 @@ The event loop runs on a background thread; tests drive the server through
 the real TCP socket with :class:`repro.client.Client`, so every test
 exercises the full parse -> route -> pool -> ledger path.  Jobs execute on a
 *thread* executor (not the production process pool) to keep the suite fast;
-cross-process store-hit semantics are preserved because each job still
-re-opens the workspace run store (and ``scripts/load_smoke.py`` covers the
+cross-process store-hit semantics are preserved because each executor thread
+keeps its own run store and refreshes it from the shared file before every
+job, as each pool process does (and ``scripts/load_smoke.py`` covers the
 real process pool end to end).
 """
 

@@ -9,6 +9,18 @@ import pytest
 from repro.server.pool import QueueFullError, WorkerPool, build_source, execute_job
 from repro.server.ratelimit import RateLimiter
 from repro.service import verify_csv_l_diverse
+from repro.service.store import RunStore
+
+
+def published_csv_l_diverse(path, result: dict, l: int) -> bool:
+    """Write a payload's table to ``path`` and verify it independently."""
+    import csv
+
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(result["header"])
+        writer.writerows(result["rows"])
+    return verify_csv_l_diverse(path, result["header"][:-1], result["header"][-1], l)
 
 
 class TestRateLimiter:
@@ -78,20 +90,37 @@ class TestExecuteJob:
         assert second["store_hit"] and second["cache_hit"]
         assert second["rows"] == first["rows"]
 
+    def test_sequential_jobs_share_one_tail_read_store(self, tmp_path, monkeypatch):
+        opened: list[RunStore] = []
+        parsed: list[str] = []
+        original_init, original_parse = RunStore.__init__, RunStore._parse
+
+        def tracking_init(store, *args, **kwargs):
+            opened.append(store)
+            original_init(store, *args, **kwargs)
+
+        def counting_parse(line):
+            parsed.append(line)
+            return original_parse(line)
+
+        monkeypatch.setattr(RunStore, "__init__", tracking_init)
+        monkeypatch.setattr(RunStore, "_parse", staticmethod(counting_parse))
+        workspace = str(tmp_path / "ws")
+        assert not execute_job(self._spec(), workspace, True)["store_hit"]
+        assert parsed == []  # the store file did not exist yet
+        assert not execute_job(self._spec(l=3), workspace, True)["store_hit"]
+        assert len(parsed) == 1  # only the record the first job appended
+        assert execute_job(self._spec(), workspace, True)["store_hit"]
+        assert len(parsed) == 2  # ... and then only the second job's
+        assert len(opened) == 1
+
     def test_include_rows_false_omits_the_table(self, tmp_path):
         result = execute_job(self._spec(include_rows=False), str(tmp_path / "ws"), False)
         assert "rows" not in result and "header" not in result
 
     def test_rows_are_l_diverse_as_csv(self, tmp_path):
         result = execute_job(self._spec(), str(tmp_path / "ws"), False)
-        path = tmp_path / "out.csv"
-        import csv
-
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(result["header"])
-            writer.writerows(result["rows"])
-        assert verify_csv_l_diverse(path, result["header"][:-1], result["header"][-1], 4)
+        assert published_csv_l_diverse(tmp_path / "out.csv", result, 4)
 
     def test_build_source_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -160,6 +189,53 @@ class TestWorkerPool:
         assert ("job-1", "running") in events
         assert ("job-1", "done") in events
         assert ("job-2", "failed") in events
+
+    def test_thread_workers_share_the_workspace_store(self, tmp_path):
+        """Each executor thread keeps its own store; repeats are still hits."""
+        results: dict[str, dict] = {}
+
+        def transition(job_id, status, result=None, error="", **kw):
+            if status in ("done", "failed"):
+                results[job_id] = result if status == "done" else {"error": error}
+
+        bodies = [
+            {"algorithm": algorithm, "l": l, "metrics": ["stars"],
+             "source": {"kind": "synthetic", "n": 150, "seed": 5, "dimension": 3}}
+            for algorithm, l in (("TP", 2), ("TP+", 3), ("TP", 4))
+        ]
+
+        async def scenario():
+            pool = WorkerPool(
+                workers=2,
+                queue_cap=16,
+                transition=transition,
+                executor_kind="thread",
+                workspace_root=str(tmp_path / "ws"),
+            )
+            await pool.start()
+            for index, body in enumerate(bodies):
+                pool.submit(f"first-{index}", dict(body))
+            await pool._queue.join()
+            for round_number in range(3):
+                for index, body in enumerate(bodies):
+                    pool.submit(f"repeat-{round_number}-{index}", dict(body))
+            await pool._queue.join()
+            await pool.shutdown()
+
+        self._run(scenario())
+        assert len(results) == 4 * len(bodies)
+        for job_id, result in results.items():
+            assert "error" not in result, (job_id, result)
+            assert result["verified"] is True
+            index = int(job_id.rsplit("-", 1)[1])
+            assert published_csv_l_diverse(
+                tmp_path / f"{job_id}.csv", result, bodies[index]["l"]
+            )
+            if job_id.startswith("repeat-"):
+                assert result["store_hit"], job_id
+                assert result["rows"] == results[f"first-{index}"]["rows"]
+            else:
+                assert not result["store_hit"], job_id
 
     def test_shutdown_reports_abandoned_jobs(self):
         async def scenario():

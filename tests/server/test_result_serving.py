@@ -75,6 +75,17 @@ class TestArtifactServing:
         assert result["header"] == legacy["header"]
         assert result["rows"] == legacy["rows"]
 
+    def test_store_hit_serves_its_artifact_byte_identically(self, server, client):
+        first = client.submit(source=dict(SOURCE), l=4)
+        client.wait(first)
+        repeat = client.submit(source=dict(SOURCE), l=4)
+        client.wait(repeat)
+        payload = server.server._jobs[repeat]["result"]
+        assert payload["store_hit"]
+        # The hit rebuilt the columnar form, so it took the zero-copy path.
+        assert "rows" not in payload and "result_artifact" in payload
+        assert client.result_csv(repeat).encode() == client.result_csv(first).encode()
+
     def test_repeat_csv_fetches_render_once(self, client):
         job_id = client.submit(source=dict(SOURCE), l=4)
         client.wait(job_id)
