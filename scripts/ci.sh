@@ -50,7 +50,11 @@
 # warm-starts from the persisted order.npy sort permutation (no sort stage
 # in its profile), and (e) on the paper's Table-6 domains (TP+, l=2, 10^5
 # rows) the array phase one publishes the same bytes as the one-removal loop
-# at >= 5x its phase1 speed, with KL identical through both combo adapters.
+# at >= 5x its phase1 speed, with KL identical through both combo adapters,
+# and (f) on a 10^5-row Table-6 CSV the one-pass CsvSource.load() (schema
+# inferred and codes encoded in one read) returns the same schema, codes and
+# fingerprint as infer_csv_schema followed by a schema-supplied load, at
+# >= 1.5x the pair's speed (best of 3 each).
 #
 # The perf check re-times the figure-6 benchmark on the NumPy backend only
 # (well under a minute) and fails when it has regressed more than 2x against

@@ -656,11 +656,14 @@ class Table:
         schema: Schema | None = None,
         delimiter: str = ",",
     ) -> "Table":
-        """Load a table from a CSV file with a header row."""
-        with open(path, newline="") as handle:
-            reader = csv.DictReader(handle, delimiter=delimiter)
-            records = [dict(row) for row in reader]
-        return cls.from_records(records, qi_names, sa_name, schema=schema)
+        """Load a table from a CSV file with a header row.
+
+        Reads through :meth:`CsvSource.load
+        <repro.engine.sources.CsvSource.load>`, the package's one CSV decoder.
+        """
+        from repro.engine.sources import CsvSource
+
+        return CsvSource(path, tuple(qi_names), sa_name, schema, delimiter).load()
 
     def to_csv(self, path: str, delimiter: str = ",") -> None:
         """Write the decoded table to a CSV file with a header row."""

@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.dataset.table import Attribute, Schema, Table
-from repro.engine.sources import DataSource, infer_csv_schema
+from repro.engine.sources import CsvSource, DataSource, count_csv_records, scan_csv
 from repro.errors import DataSourceError
 
 __all__ = ["ColumnStore", "ColumnStoreSource", "ResultArtifact", "StoreOrderCache"]
@@ -175,28 +175,21 @@ class ColumnStore:
         sa_name: str,
         schema: Schema | None = None,
         delimiter: str = ",",
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ) -> "ColumnStore":
         """Decode a CSV file straight into in-memory column buffers.
 
-        The file is decoded in bounded chunks through the columnar
-        :class:`~repro.engine.sources.CsvSource` reader (one schema
-        inference pass, one reused decode buffer) — rows never exist as
-        Python tuples.  For tables larger than RAM use :meth:`convert_csv`,
-        which writes the buffers out-of-core.
+        The file is read once through :meth:`CsvSource.load
+        <repro.engine.sources.CsvSource.load>`, which infers the schema (unless
+        given) and encodes in the same pass — rows never exist as Python
+        tuples.  For tables larger than RAM use :meth:`convert_csv`, which
+        writes the buffers out-of-core.
         """
-        from repro.engine.sources import CsvSource
-
-        source = CsvSource(
+        table = CsvSource(
             str(path), tuple(qi_names), sa_name, schema=schema, delimiter=delimiter
-        )
-        chunks = list(source.iter_chunks(chunk_rows))
-        if not chunks:
+        ).load()
+        if not len(table):
             raise DataSourceError(f"{path}: no data rows to store")
-        resolved = chunks[0].schema
-        qi = np.concatenate([chunk.qi_columns for chunk in chunks], axis=0)
-        sa = np.concatenate([chunk.sa_array for chunk in chunks])
-        return cls(resolved, qi, sa)
+        return cls.from_table(table)
 
     @classmethod
     def convert_csv(
@@ -211,19 +204,19 @@ class ColumnStore:
     ) -> "ColumnStore":
         """Convert a CSV file into an on-disk store without holding the table.
 
-        Two streaming passes: the first infers the schema and counts rows
-        (skipped when ``schema`` is given — then only the count pass runs),
-        the second decodes chunks directly into
-        :func:`numpy.lib.format.open_memmap` buffers.  Peak memory is one
-        chunk.  Returns the finished store, memory-mapped.
+        Two streaming passes: the first counts the data records (the memmaps
+        are sized up front) and, when ``schema`` is not given, infers it in
+        the same read; the second decodes chunks directly into
+        :func:`numpy.lib.format.open_memmap` buffers.  Records are counted by
+        the same CSV reader that decodes them, so quoted fields spanning
+        lines and blank lines count as the decoder sees them.  Peak memory
+        is one chunk.  Returns the finished store, memory-mapped.
         """
-        from repro.engine.sources import CsvSource
-
         csv_path = str(csv_path)
         if schema is None:
-            schema = infer_csv_schema(csv_path, qi_names, sa_name, delimiter)
-        with open(csv_path, newline="") as handle:
-            row_count = sum(1 for _line in handle) - 1  # header
+            schema, row_count = scan_csv(csv_path, qi_names, sa_name, delimiter)
+        else:
+            row_count = count_csv_records(csv_path, qi_names, sa_name, delimiter)
         if row_count < 1:
             raise DataSourceError(f"{csv_path}: no data rows to store")
 

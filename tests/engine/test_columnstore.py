@@ -103,7 +103,7 @@ def test_from_csv_and_convert_csv_match_csv_source(census, tmp_path):
     sa = census.schema.sensitive.name
     baseline = CsvSource(str(csv_path), qi, sa).load()
 
-    in_memory = ColumnStore.from_csv(csv_path, qi, sa, chunk_rows=321)
+    in_memory = ColumnStore.from_csv(csv_path, qi, sa)
     assert in_memory.fingerprint() == baseline.fingerprint()
 
     converted = ColumnStore.convert_csv(

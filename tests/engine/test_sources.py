@@ -2,10 +2,23 @@
 
 from __future__ import annotations
 
+import builtins
+import csv
+import io
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dataset.examples import hospital_microdata
 from repro.dataset.synthetic import CensusConfig
+from repro.dataset.table import Attribute, DomainError, Schema
+from repro.engine import sources
+from repro.engine.columnstore import ColumnStore
 from repro.engine.sources import (
     CsvSource,
     SyntheticSource,
@@ -14,6 +27,7 @@ from repro.engine.sources import (
     infer_csv_schema,
 )
 from repro.errors import DataSourceError
+from repro.service.streaming import stream_anonymize
 
 QI = ("Age", "Gender", "Education")
 SA = "Disease"
@@ -72,6 +86,220 @@ class TestCsvSource:
 
     def test_label_is_path(self, hospital_csv):
         assert CsvSource(hospital_csv, QI, SA).label == hospital_csv
+
+
+def _oracle(path: str, qi: tuple[str, ...], sa: str):
+    """The two-pass composition: infer the schema, then load against it."""
+    schema = infer_csv_schema(path, qi, sa)
+    return CsvSource(path, qi, sa, schema=schema).load()
+
+
+def _assert_same_table(actual, expected) -> None:
+    assert actual.schema == expected.schema
+    assert np.array_equal(actual.qi_columns, expected.qi_columns)
+    assert np.array_equal(actual.sa_array, expected.sa_array)
+    assert actual.fingerprint() == expected.fingerprint()
+
+
+#: Cells that stress the reader and the domain order: quoted delimiters and
+#: quotes, a quoted newline, unicode, blanks, and numeric-looking strings
+#: (``"10"`` sorts before ``"9"``).
+_CELLS = st.one_of(
+    st.sampled_from(["9", "10", "2", "a,b", 'say "hi"', "x\ny", "é", "日本", "", " "]),
+    st.text(
+        alphabet=st.characters(
+            blacklist_categories=("Cs",), blacklist_characters="\x00\r"
+        ),
+        max_size=3,
+    ),
+)
+
+
+@st.composite
+def _csv_files(draw):
+    """``(text, qi, sa, records)``: a CSV with an unused column, shuffled
+    header order and optional blank lines, plus its data records."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    qi = tuple(f"Q{index}" for index in range(d))
+    header = draw(st.permutations([*qi, "S", "Unused"]))
+    records = draw(
+        st.lists(
+            st.lists(_CELLS, min_size=d + 2, max_size=d + 2), min_size=1, max_size=12
+        )
+    )
+    blank_after = draw(st.sets(st.integers(min_value=0, max_value=len(records))))
+    lines = []
+    for position, record in enumerate([header, *records]):
+        lines.append(_csv_line(record))
+        if position in blank_after:
+            lines.append("\n")
+    named = [dict(zip(header, record)) for record in records]
+    return "".join(lines), qi, "S", named
+
+
+def _csv_line(cells) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(cells)
+    return buffer.getvalue()
+
+
+@pytest.fixture
+def opened(hospital_csv, monkeypatch):
+    """The list of ``open`` calls on the hospital CSV made during the test."""
+    calls = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if str(file) == hospital_csv:
+            calls.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return calls
+
+
+class TestOnePassLoad:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        _csv_files(),
+        st.sampled_from([1, 2, 3, 512]),
+        st.integers(min_value=1, max_value=7),
+    )
+    def test_matches_infer_then_load(self, case, batch_rows, chunk_rows):
+        text, qi, sa, records = case
+        with tempfile.TemporaryDirectory() as directory:
+            path = str(Path(directory) / "data.csv")
+            Path(path).write_text(text, newline="")
+            with mock.patch.object(sources, "CSV_BATCH_ROWS", batch_rows):
+                source = CsvSource(path, qi, sa)
+                loaded = source.load()
+                expected = _oracle(path, qi, sa)
+                _assert_same_table(loaded, expected)
+                assert source.resolved_schema() == expected.schema
+                chunks = list(CsvSource(path, qi, sa).iter_chunks(chunk_rows))
+            _assert_same_table(concat_tables(chunks), expected)
+        # Read batches never change the yielded chunk sizes.
+        assert [len(chunk) for chunk in chunks[:-1]] == [chunk_rows] * (len(chunks) - 1)
+        assert 1 <= len(chunks[-1]) <= chunk_rows
+        # An independent check of the decode: the cells as csv wrote them.
+        assert loaded.decoded_records() == [
+            {name: record[name] for name in (*qi, sa)} for record in records
+        ]
+
+    def test_numeric_strings_sort_as_strings(self, tmp_path):
+        path = tmp_path / "numbers.csv"
+        path.write_text("A,S\n9,x\n10,y\n2,x\n10,x\n")
+        loaded = CsvSource(str(path), ("A",), "S").load()
+        assert loaded.schema.qi[0].values == ("10", "2", "9")
+        assert loaded.qi_columns[:, 0].tolist() == [2, 0, 1, 0]
+        _assert_same_table(loaded, _oracle(str(path), ("A",), "S"))
+
+    def test_header_only_with_schema_is_empty(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("A,B,S\n")
+        schema = Schema(
+            qi=(Attribute("A", ("1",)), Attribute("B", ("2",))),
+            sensitive=Attribute("S", ("x",)),
+        )
+        loaded = CsvSource(str(path), ("A", "B"), "S", schema=schema).load()
+        assert len(loaded) == 0
+        assert loaded.qi_columns.shape == (0, 2)
+        assert loaded.schema == schema
+        with pytest.raises(DataSourceError, match="no data rows"):
+            CsvSource(str(path), ("A", "B"), "S").load()
+
+    def test_out_of_domain_value_raises_domain_error(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("A,S\n1,x\n7,x\n")
+        schema = Schema(qi=(Attribute("A", ("1",)),), sensitive=Attribute("S", ("x",)))
+        source = CsvSource(str(path), ("A",), "S", schema=schema)
+        with pytest.raises(DomainError, match="'7'"):
+            source.load()
+        with pytest.raises(DomainError, match="'7'"):
+            list(source.iter_chunks(1))
+
+    def test_missing_columns_raise(self, hospital_csv):
+        source = CsvSource(hospital_csv, ("Age", "Nope"), "Absent")
+        with pytest.raises(DataSourceError, match="Nope"):
+            source.load()
+        with pytest.raises(DataSourceError, match="Absent"):
+            list(source.iter_chunks(4))
+
+    def test_short_record_raises(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("A,B,S\n1,2,x\n3,4\n")
+        with pytest.raises(DataSourceError, match="fewer than 3 fields"):
+            CsvSource(str(path), ("A", "B"), "S").load()
+        with pytest.raises(DataSourceError, match="fewer than 3 fields"):
+            infer_csv_schema(str(path), ("A", "B"), "S")
+
+    def test_load_without_schema_opens_the_file_once(self, hospital_csv, opened):
+        source = CsvSource(hospital_csv, QI, SA)
+        source.load()
+        assert len(opened) == 1
+        # The schema is cached: streaming afterwards needs no inference pass.
+        list(source.iter_chunks(3))
+        assert len(opened) == 2
+
+
+class TestBlankLines:
+    """A blank line (trailing or not) is skipped, as csv.DictReader skips it."""
+
+    TEXT = "A,B,S\n1,2,x\n\n3,4,y\n\n"
+    RECORDS = [{"A": "1", "B": "2", "S": "x"}, {"A": "3", "B": "4", "S": "y"}]
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(self.TEXT)
+        return str(path)
+
+    def test_load(self, path):
+        assert CsvSource(path, ("A", "B"), "S").load().decoded_records() == self.RECORDS
+
+    def test_iter_chunks(self, path):
+        chunks = list(CsvSource(path, ("A", "B"), "S").iter_chunks(1))
+        assert [len(chunk) for chunk in chunks] == [1, 1]
+        assert concat_tables(chunks).decoded_records() == self.RECORDS
+
+    def test_convert_csv(self, path, tmp_path):
+        store = ColumnStore.convert_csv(path, tmp_path / "store", ("A", "B"), "S")
+        assert store.n == 2
+        assert store.table().decoded_records() == self.RECORDS
+
+    def test_stream_anonymize(self, path, tmp_path):
+        output = tmp_path / "out.csv"
+        report = stream_anonymize(CsvSource(path, ("A", "B"), "S"), output, l=2)
+        assert report.n == 2
+        with open(output, newline="") as handle:
+            assert sorted(row["S"] for row in csv.DictReader(handle)) == ["x", "y"]
+
+
+class TestRecordCount:
+    def test_convert_csv_counts_quoted_newlines_as_one_record(self, tmp_path):
+        path = tmp_path / "quoted.csv"
+        path.write_text('A,B,S\n"1\nz",2,x\n3,4,y\n')
+        store = ColumnStore.convert_csv(path, tmp_path / "store", ("A", "B"), "S")
+        loaded = CsvSource(str(path), ("A", "B"), "S").load()
+        assert store.n == 2
+        assert store.fingerprint() == loaded.fingerprint()
+        assert loaded.decoded_records()[0]["A"] == "1\nz"
+
+    def test_convert_csv_infers_and_counts_in_one_read(self, hospital_csv, tmp_path, opened):
+        store = ColumnStore.convert_csv(hospital_csv, tmp_path / "store", QI, SA)
+        assert len(opened) == 2
+        assert store.fingerprint() == _oracle(hospital_csv, QI, SA).fingerprint()
+
+    def test_from_csv_rejects_header_only(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("A,B,S\n")
+        schema = Schema(
+            qi=(Attribute("A", ("1",)), Attribute("B", ("2",))),
+            sensitive=Attribute("S", ("x",)),
+        )
+        for given_schema in (None, schema):
+            with pytest.raises(DataSourceError, match="no data rows"):
+                ColumnStore.from_csv(path, ("A", "B"), "S", schema=given_schema)
 
 
 class TestSyntheticSource:
